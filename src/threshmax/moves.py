@@ -103,7 +103,8 @@ def local_move(g: Graph, u: int, v: int) -> tuple[Graph, int]:
         edges.discard((min(v, z), max(v, z)))
         edges.add((min(u, z), max(u, z)))
     out = Graph(g.n, edges)
-    assert out.m == g.m
+    if out.m != g.m:
+        raise RuntimeError(f"local_move changed the edge count from {g.m} to {out.m}")
     return out, len(shift)
 
 
@@ -171,8 +172,10 @@ def thresholdize(g: Graph) -> tuple[Graph, MoveLog]:
             cur, moved = local_move(cur, receiver, w)
             log.moves.append((receiver, w, moved))
         active = [w for w in active if w != receiver and cur.adjacency[w] & set(active)]
-    assert log.move_count <= g.n * g.n
-    assert log.total_movement <= g.m
+    if log.move_count > g.n * g.n:
+        raise RuntimeError(f"thresholdize used {log.move_count} moves, more than n^2")
+    if log.total_movement > g.m:
+        raise RuntimeError(f"thresholdize moved {log.total_movement} edges, more than m = {g.m}")
     return cur, log
 
 
@@ -200,7 +203,8 @@ def hyper_local_move(g: Hypergraph, u: int, v: int) -> tuple[Hypergraph, int]:
                 edges.add(swap)
                 moved += 1
     out = Hypergraph(g.n, g.k, edges)
-    assert out.m == g.m
+    if out.m != g.m:
+        raise RuntimeError(f"hyper_local_move changed the edge count from {g.m} to {out.m}")
     return out, moved
 
 
@@ -311,5 +315,9 @@ def hyper_thresholdize(
         per_removal = h.m * factorial(k) * n ** max(h.n - k, 0)
         bound = moves_used * per_move + edges_removed * per_removal
     report = HyperMoveReport(moves_used, edges_removed, bound)
-    assert edges_removed <= _ceil_sqrt(g.n) * g.n ** (k - 1)
+    cap = _ceil_sqrt(g.n) * g.n ** (k - 1)
+    if edges_removed > cap:
+        raise RuntimeError(
+            f"hyper_thresholdize removed {edges_removed} edges, more than ceil(sqrt(n)) n^(k-1) = {cap}"
+        )
     return out, report

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import sqrt
+from math import sqrt, ulp
 
 import numpy as np
 
@@ -176,7 +176,8 @@ def verify_domination(h: Graph, graphs) -> DominationReport:
     targets = list(graphs)
     exponent = domination_exponent(h)
     doubled = 2 * exponent
-    assert doubled.denominator == 1
+    if doubled.denominator != 1:
+        raise RuntimeError(f"domination exponent {exponent} is not half-integral")
     e2 = doubled.numerator
     violations = []
     min_ratio = None
@@ -211,23 +212,21 @@ class SearchResult:
     explored: int
 
 
-_THRESHOLD_TABLES: dict = {}
+# (pattern graph, n) hom tables kept per kind of search.  A sweep over every
+# m for one (H, n) reuses one table; a few more let callers alternate
+# patterns.  A creation-sequence table at the 22-vertex cap has 2^21 rows.
+_TABLE_CACHE_SIZE = 4
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _threshold_hom_table(h: Graph, n: int):
     """All creation sequences on n vertices with edge count and hom count,
     in lexicographic bit order."""
-    key = (h.key, n)
-    table = _THRESHOLD_TABLES.get(key)
-    if table is None:
-        rows = []
-        for bits in product((0, 1), repeat=n - 1):
-            seq = CreationSequence(bits)
-            edges = sum(i for i, b in enumerate(bits, start=1) if b)
-            rows.append((bits, edges, hom_count_blocks(h, seq)))
-        table = tuple(rows)
-        _THRESHOLD_TABLES[key] = table
-    return table
+    rows = []
+    for bits in product((0, 1), repeat=n - 1):
+        edges = sum(i for i, b in enumerate(bits, start=1) if b)
+        rows.append((bits, edges, hom_count_blocks(h, CreationSequence(bits))))
+    return tuple(rows)
 
 
 def search_threshold_max(h: Graph, n: int, m: int) -> SearchResult:
@@ -307,17 +306,9 @@ def all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
-_ALL_TABLES: dict = {}
-
-
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _all_hom_table(h: Graph, n: int):
-    key = (h.key, n)
-    table = _ALL_TABLES.get(key)
-    if table is None:
-        reps = all_graphs_up_to_iso(n)
-        table = tuple((g.m, hom_count(h, g)) for g in reps)
-        _ALL_TABLES[key] = table
-    return table
+    return tuple((g.m, hom_count(h, g)) for g in all_graphs_up_to_iso(n))
 
 
 def search_all_max(h: Graph, n: int, m: int) -> SearchResult:
@@ -354,22 +345,22 @@ def _alternating(first_bit: int, parts: int) -> tuple[int, ...]:
     return tuple((first_bit + i) % 2 for i in range(parts))
 
 
-def _edge_density_of(pattern, props) -> float:
-    return float(
-        limit_edge_density(LimitThreshold(tuple(zip(pattern, props))))
-    )
-
-
 def _repair(pattern, props, c: float):
     """Scale the dominating blocks down until the edge density is at most c,
     handing the removed mass to the isolated blocks.
 
-    Moving mass from a dominating block to an isolated one only shrinks
-    neighborhoods, so the density is monotone in the scale factor and
-    bisection is safe.  Returns None when the pattern has no isolated block
-    to absorb the mass.
+    The density D(t) of the structure scaled by t is a quadratic in t with
+    D(0) = 0, so its values at 1/2 and 1 fix it, and the largest feasible t
+    is a root.  Moving mass from a dominating block to an isolated one only
+    shrinks neighborhoods, so D is monotone on [0, 1] and the smaller
+    positive root is the one.  Returns None when the pattern has no
+    isolated block to absorb the mass.
     """
-    if _edge_density_of(pattern, props) <= c:
+
+    def density(q) -> float:
+        return float(limit_edge_density(LimitThreshold(tuple(zip(pattern, q)))))
+
+    if density(props) <= c:
         return props
     ones = [j for j, b in enumerate(pattern) if b == 1]
     zeros = [j for j, b in enumerate(pattern) if b == 0]
@@ -394,14 +385,15 @@ def _repair(pattern, props, c: float):
         total = sum(q)
         return tuple(x / total for x in q)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if _edge_density_of(pattern, scaled(mid)) <= c:
-            lo = mid
-        else:
-            hi = mid
-    return scaled(lo)
+    whole, half = density(scaled(1.0)), density(scaled(0.5))
+    a, b = 2 * whole - 4 * half, 4 * half - whole
+    t = 2 * c / (b + sqrt(max(b * b + 4 * a * c, 0.0))) if c > 0 else 0.0
+    # rounding can leave the root a few ulps too high; step down until the
+    # density is within budget, which it is at t = 0
+    step = ulp(t)
+    while density(scaled(t)) > c:
+        t, step = max(t - step, 0.0), 2 * step
+    return scaled(t)
 
 
 def _lattice_moves(parts: int):

@@ -3,17 +3,20 @@
 A threshold graph is grown one vertex at a time, each new vertex either
 dominating (adjacent to everything so far) or isolated.  The creation
 sequence records those choices as bits for vertices 1..n-1.  Runs of equal
-bits form blocks; homomorphism counts depend only on the block structure,
-which ``hom_count_blocks`` exploits with a subset dynamic program.  Sending
-block sizes to proportions of n gives limit structures with exact limiting
-homomorphism densities via ``limit_density``.
+bits form blocks.  For a fixed pattern of block bits, hom(H, T) is an
+integer polynomial in the block sizes, compiled once per connected
+component of H by one subset dynamic program whose per-subset weights are
+chromatic polynomials.  ``hom_count_blocks`` evaluates it at the block
+sizes; sending block sizes to proportions of n keeps only its top-degree
+part, the exact limiting homomorphism density of ``limit_density``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import inf, isqrt
 
 from threshmax.graphs import Graph, connected_components, induced
 
@@ -120,8 +123,9 @@ class LimitThreshold:
         for b, p in self.blocks:
             if b not in (0, 1):
                 raise ValueError("block bit must be 0 or 1")
-            if p < 0:
-                raise ValueError(f"negative block proportion {p}")
+            # written so that NaN fails it too
+            if not 0 <= p < inf:
+                raise ValueError(f"block proportion {p} is not finite and nonnegative")
             total += p
         if abs(total - 1) > 1e-12:
             raise ValueError(f"block proportions sum to {total}, expected 1")
@@ -302,31 +306,18 @@ def three_part(n: int, m: int) -> CreationSequence:
         raise ValueError(f"no room for the isolated block at n={n}, m={m}")
     bits = [1] * (clique - 1) + [0] * middle + [1] * tail
     seq = CreationSequence(tuple(bits))
-    assert sequence_edge_count(seq) <= m
+    if sequence_edge_count(seq) > m:
+        raise RuntimeError(f"three_part({n}, {m}) built more than m edges")
     return seq
 
 
-# ── chromatic counting (weight of a dominating block) ────────────────────
+# ── the block polynomial engine ──────────────────────────────────────────
 
-_CHROM_CACHE: dict = {}
-
-
-def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_sub(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return tuple(out)
+# Compiled (pattern graph, bit pattern) polynomials kept.  A creation
+# sequence on n vertices has an alternating bit pattern of at most n - 1
+# blocks, so one search_threshold_max table at its 22-vertex cap visits
+# 2 * 21 patterns of one graph.
+_COMPILED_CACHE_SIZE = 64
 
 
 def _poly_eval(p: tuple[int, ...], x):
@@ -336,43 +327,59 @@ def _poly_eval(p: tuple[int, ...], x):
     return acc
 
 
-def _contract(g: Graph, u: int, v: int) -> Graph:
-    """Identify v with u (u < v) and relabel densely; drops parallel edges."""
+def _neighbour_masks(h: Graph) -> list[int]:
+    """The union of the neighbourhoods of every vertex subset, by mask."""
+    adjm = [0] * h.n
+    for u, v in h.edges:
+        adjm[u] |= 1 << v
+        adjm[v] |= 1 << u
+    nbr = [0] * (1 << h.n)
+    for mask in range(1, 1 << h.n):
+        low = mask & -mask
+        nbr[mask] = nbr[mask ^ low] | adjm[low.bit_length() - 1]
+    return nbr
 
-    def f(w: int) -> int:
-        if w == v:
-            return u
-        return w if w < v else w - 1
 
-    edges = set()
-    for a, b in g.edges:
-        fa, fb = f(a), f(b)
-        if fa != fb:
-            edges.add((fa, fb))
-    return Graph(g.n - 1, edges)
+def _subset_chromatic(nbr: list[int]) -> list[tuple[int, ...]]:
+    """Chromatic polynomial of every induced subgraph h[S], by mask S.
+
+    Counts the partitions of S into k independent sets, with the block of
+    S's lowest vertex chosen first, then changes from the falling-factorial
+    basis: P(h[S], x) = sum over k of a_k(S) * x(x-1)...(x-k+1).
+    """
+    size = len(nbr)
+    falling = [(1,)]
+    for k in range(size.bit_length() - 1):
+        prev = falling[-1]
+        falling.append(tuple(a - k * b for a, b in zip((0,) + prev, prev + (0,))))
+    partitions: list[list[int]] = [[1]]
+    polys = [(1,)]
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        counts = [0] * (mask.bit_count() + 1)
+        sub = rest
+        while True:
+            block = sub | low
+            if not nbr[block] & block:
+                for k, a in enumerate(partitions[mask ^ block]):
+                    counts[k + 1] += a
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        partitions.append(counts)
+        poly = [0] * len(counts)
+        for k, a in enumerate(counts):
+            for d, f in enumerate(falling[k]):
+                poly[d] += a * f
+        polys.append(tuple(poly))
+    return polys
 
 
 def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
-    """Coefficients (index = degree) of the chromatic polynomial, by
-    deletion and contraction with a product shortcut over components."""
-    key = g.key
-    cached = _CHROM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if g.m == 0:
-        poly = (0,) * g.n + (1,)
-    else:
-        comps = connected_components(g)
-        if len(comps) > 1:
-            poly = (1,)
-            for comp in comps:
-                poly = _poly_mul(poly, chromatic_polynomial(induced(g, comp)))
-        else:
-            u, v = min(g.sorted_edges())
-            deleted = Graph(g.n, g.edges - {(u, v)})
-            poly = _poly_sub(chromatic_polynomial(deleted), chromatic_polynomial(_contract(g, u, v)))
-    _CHROM_CACHE[key] = poly
-    return poly
+    """Coefficients (index = degree) of the chromatic polynomial: n + 1
+    entries for n vertices."""
+    return _subset_chromatic(_neighbour_masks(g))[-1]
 
 
 def chromatic_count(g: Graph, colors: int) -> int:
@@ -382,96 +389,25 @@ def chromatic_count(g: Graph, colors: int) -> int:
     return _poly_eval(chromatic_polynomial(g), colors)
 
 
-# ── homomorphism counts into block structures ────────────────────────────
+def _compile_component(h: Graph, pattern: tuple[int, ...]):
+    """hom(h, T) as a polynomial in the block sizes of a target T with the
+    given block bits, split as (top-degree terms, the rest).
 
-
-def _adjacency_masks(h: Graph) -> list[int]:
-    masks = [0] * h.n
-    for u, v in h.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def hom_count_blocks(h: Graph, target: "BlockStructure | CreationSequence") -> int:
-    """hom(h, built graph) directly from the block structure.
-
-    Vertices of h are assigned to blocks left to right.  A subset landing in
-    an isolated block must be independent with no edges to earlier blocks
-    and contributes size^|subset| maps; a subset landing in a dominating
-    block contributes its induced subgraph's proper colorings with size
-    colors, cross edges backwards being automatic.
+    Vertices of h are assigned to blocks left to right.  A subset S landing
+    in an isolated block of size s must be independent with no edges to
+    earlier blocks and weighs s^|S|; a subset landing in a dominating block
+    weighs P(h[S], s), its proper colorings with s colors, cross edges
+    backwards being automatic.  A term is (coefficient, ((block, exponent),
+    ...)).  Chromatic polynomials are monic, so the top-degree terms are the
+    same with every dominating weight replaced by s^|S|: they give the
+    limiting density, where collisions inside a block vanish.
     """
-    if isinstance(target, CreationSequence):
-        target = blocks_of(target)
-    if h.n == 0:
-        return 1
     hn = h.n
     full = (1 << hn) - 1
-    adjm = _adjacency_masks(h)
-    chrom: dict[int, tuple[int, ...]] = {}
-    dp = [0] * (1 << hn)
-    dp[0] = 1
-    for bit, size in target.blocks:
-        ndp = [0] * (1 << hn)
-        for mask in range(1 << hn):
-            base = dp[mask]
-            if not base:
-                continue
-            comp = full & ~mask
-            sub = comp
-            while True:
-                if bit == 0:
-                    forbidden = mask | sub
-                    ok = True
-                    s = sub
-                    while s:
-                        v = (s & -s).bit_length() - 1
-                        if adjm[v] & forbidden:
-                            ok = False
-                            break
-                        s &= s - 1
-                    if ok:
-                        ndp[mask | sub] += base * size ** sub.bit_count()
-                else:
-                    poly = chrom.get(sub)
-                    if poly is None:
-                        verts = [v for v in range(hn) if sub >> v & 1]
-                        poly = chromatic_polynomial(induced(h, verts))
-                        chrom[sub] = poly
-                    w = _poly_eval(poly, size)
-                    if w:
-                        ndp[mask | sub] += base * w
-                if sub == 0:
-                    break
-                sub = (sub - 1) & comp
-        dp = ndp
-    return dp[full]
-
-
-# ── limiting densities ───────────────────────────────────────────────────
-
-_LIMIT_CACHE: dict = {}
-
-
-def _compile_limit(h: Graph, pattern: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Monomial dictionary of the limiting density of a connected pattern h
-    against the given block bit pattern: {per-block exponents: coefficient}.
-
-    In the limit a dominating block of proportion q absorbs a subset S with
-    weight q^|S| and no constraint; collision corrections vanish at order
-    1/n.  Isolated blocks keep the finite constraints.
-    """
-    key = (h.key, pattern)
-    cached = _LIMIT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    hn = h.n
-    full = (1 << hn) - 1
-    adjm = _adjacency_masks(h)
-    zero = (0,) * len(pattern)
+    nbr = _neighbour_masks(h)
+    chrom = _subset_chromatic(nbr)
     dp: list[dict[tuple[int, ...], int]] = [dict() for _ in range(1 << hn)]
-    dp[0][zero] = 1
+    dp[0][(0,) * len(pattern)] = 1
     for j, bit in enumerate(pattern):
         ndp: list[dict[tuple[int, ...], int]] = [dict() for _ in range(1 << hn)]
         for mask in range(1 << hn):
@@ -481,55 +417,86 @@ def _compile_limit(h: Graph, pattern: tuple[int, ...]) -> dict[tuple[int, ...], 
             comp = full & ~mask
             sub = comp
             while True:
-                ok = True
-                if bit == 0:
-                    forbidden = mask | sub
-                    s = sub
-                    while s:
-                        v = (s & -s).bit_length() - 1
-                        if adjm[v] & forbidden:
-                            ok = False
-                            break
-                        s &= s - 1
-                if ok:
-                    k = sub.bit_count()
-                    out = ndp[mask | sub]
-                    for exps, coeff in monos.items():
-                        e2 = exps[:j] + (exps[j] + k,) + exps[j + 1 :]
-                        out[e2] = out.get(e2, 0) + coeff
+                if bit:
+                    weight = chrom[sub]
+                elif nbr[sub] & (mask | sub):
+                    weight = ()
+                else:
+                    weight = (0,) * sub.bit_count() + (1,)
+                out = ndp[mask | sub]
+                for exps, coeff in monos.items():
+                    for d, w in enumerate(weight):
+                        if w:
+                            e2 = exps[:j] + (d,) + exps[j + 1 :]
+                            out[e2] = out.get(e2, 0) + coeff * w
                 if sub == 0:
                     break
                 sub = (sub - 1) & comp
         dp = ndp
-    _LIMIT_CACHE[key] = dp[full]
-    return dp[full]
+    top, rest = [], []
+    for exps, coeff in dp[full].items():
+        if coeff:
+            term = (coeff, tuple((j, e) for j, e in enumerate(exps) if e))
+            (top if sum(exps) == hn else rest).append(term)
+    return tuple(top), tuple(rest)
+
+
+@lru_cache(maxsize=_COMPILED_CACHE_SIZE)
+def _compiled(h: Graph, pattern: tuple[int, ...]):
+    """The compiled polynomial of each connected component of h.  Counts
+    multiply over components, and compiling each apart keeps every
+    polynomial small."""
+    return tuple(_compile_component(induced(h, comp), pattern) for comp in connected_components(h))
+
+
+def _evaluate(terms, values):
+    total = 0
+    for coeff, factors in terms:
+        term = coeff
+        for j, e in factors:
+            term = term * values[j] ** e
+        total += term
+    return total
+
+
+def hom_count_blocks(h: Graph, target: "BlockStructure | CreationSequence") -> int:
+    """hom(h, built graph) directly from the block structure: the compiled
+    polynomial of each component of h at the block sizes, multiplied."""
+    if isinstance(target, CreationSequence):
+        target = blocks_of(target)
+    sizes = [s for _, s in target.blocks]
+    count = 1
+    for top, rest in _compiled(h, tuple(b for b, _ in target.blocks)):
+        count *= _evaluate(top, sizes) + _evaluate(rest, sizes)
+    return count
+
+
+# ── limiting densities ───────────────────────────────────────────────────
 
 
 def limit_density(h: Graph, limit: LimitThreshold):
-    """Limiting homomorphism density of h in blowups of the limit structure.
+    """Limiting homomorphism density of h in blowups of the limit structure:
+    the top-degree part of the block polynomial at the proportions.
 
     Exact when every proportion is a Fraction; float proportions give float
     output.  Disconnected h multiplies over components.
     """
-    pattern = limit.bits
     props = limit.proportions
-    result = None
-    for comp in connected_components(h):
-        monos = _compile_limit(induced(h, comp), pattern)
-        val = 0
-        for exps, coeff in monos.items():
-            term = coeff
-            for q, e in zip(props, exps):
-                if e:
-                    term = term * q**e
-            val += term
-        result = val if result is None else result * val
-    return 1 if result is None else result
+    result = 1
+    for top, _ in _compiled(h, limit.bits):
+        result = result * _evaluate(top, props)
+    return result
 
 
 def limit_edge_density(limit: LimitThreshold):
-    """Limiting edge density t(K2, .) of the limit structure."""
-    return limit_density(Graph(2, [(0, 1)]), limit)
+    """Limiting edge density t(K2, .) of the limit structure: the sum over
+    dominating blocks j of p_j (p_j + 2 S_<j), S_<j the mass before j."""
+    total, before = 0, 0
+    for bit, p in limit.blocks:
+        if bit:
+            total += p * (p + 2 * before)
+        before += p
+    return total
 
 
 # ── discretisation and cleanup ───────────────────────────────────────────

@@ -35,6 +35,7 @@ from threshmax.optimize import (
 )
 from threshmax.threshold import (
     CreationSequence,
+    LimitThreshold,
     build_graph,
     effective_blocks,
     hom_count_blocks,
@@ -268,6 +269,30 @@ def test_limit_search_edge_budget_is_tight_for_k2():
     res = limit_search(complete_graph(2), 0.36, max_parts=2, grid=0.05)
     assert res.best_value == pytest.approx(0.36, abs=1e-6)
     assert float(limit_edge_density(res.witness)) <= 0.36 + 1e-9
+
+
+def test_repair_lands_on_the_budget():
+    from threshmax.optimize import _repair
+
+    def density(pattern, props):
+        return limit_edge_density(LimitThreshold(tuple(zip(pattern, props))))
+
+    rng = random.Random(11)
+    for _ in range(300):
+        parts, first = rng.randint(2, 5), rng.randint(0, 1)
+        pattern = tuple((first + i) % 2 for i in range(parts))
+        raw = [rng.random() for _ in range(parts)]
+        props = tuple(x / sum(raw) for x in raw)
+        c = rng.choice([0.0, rng.random() * density(pattern, props)])
+        repaired = _repair(pattern, props, c)
+        assert density(pattern, repaired) <= c
+        assert density(pattern, repaired) >= c - 1e-12
+        assert sum(repaired) == pytest.approx(1.0, abs=1e-12)
+        ones = [j for j in range(parts) if pattern[j]]
+        ratios = [repaired[j] / props[j] for j in ones]
+        assert max(ratios) - min(ratios) <= 1e-9
+    assert _repair((1, 0), (0.2, 0.8), 0.5) == (0.2, 0.8)
+    assert _repair((1,), (1.0,), 0.5) is None
 
 
 def test_limit_search_witness_reevaluates():

@@ -13,6 +13,7 @@ from threshmax.graphs import (
     star_graph,
 )
 from threshmax.homcount import hom_count_naive, hom_density
+from threshmax.optimize import all_graphs_up_to_iso
 from threshmax.threshold import (
     BlockStructure,
     CreationSequence,
@@ -21,6 +22,7 @@ from threshmax.threshold import (
     blow_up,
     build_graph,
     chromatic_count,
+    chromatic_polynomial,
     creation_sequence_of,
     effective_blocks,
     hom_count_blocks,
@@ -165,6 +167,16 @@ def test_chromatic_counts():
         assert chromatic_count(Graph(3), s) == s**3
     # colorings of K3 with 5 colors are injective homs into K5
     assert chromatic_count(complete_graph(3), 5) == 60
+    assert chromatic_polynomial(Graph(0)) == (1,)
+    assert chromatic_polynomial(cycle_graph(4)) == (0, -3, 6, -4, 1)
+
+
+def test_chromatic_counts_match_naive_homs_into_cliques():
+    for n in range(7):
+        for g in all_graphs_up_to_iso(n):
+            assert len(chromatic_polynomial(g)) == n + 1
+            for k in range(n + 1):
+                assert chromatic_count(g, k) == hom_count_naive(g, complete_graph(k))
 
 
 def test_hom_count_blocks_matches_naive():
@@ -175,6 +187,8 @@ def test_hom_count_blocks_matches_naive():
         path_graph(4),
         cycle_graph(4),
         star_graph(3),
+        disjoint_union(complete_graph(3), complete_graph(2)),
+        disjoint_union(path_graph(3), Graph(1)),
     ]
     for n in range(1, 6):
         for seq in all_sequences(n):
@@ -197,6 +211,11 @@ def test_limit_threshold_validation():
         LimitThreshold(((1, -0.5), (0, 1.5)))
     with pytest.raises(ValueError):
         LimitThreshold(())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            LimitThreshold(((1, bad), (0, 0.5)))
+        with pytest.raises(ValueError):
+            LimitThreshold(((1, bad),))
     t = LimitThreshold.from_text("1:0.2,0:0.7,1:1/10")
     assert t.bits == (1, 0, 1)
     assert t.proportions[2] == Fraction(1, 10)
@@ -207,6 +226,13 @@ def test_limit_edge_density_closed_form():
     a, b, c = Fraction(1, 5), Fraction(7, 10), Fraction(1, 10)
     t = LimitThreshold(((0, a), (1, b), (0, c)))
     assert limit_edge_density(t) == 2 * a * b + b * b
+    rng = random.Random(3)
+    for _ in range(200):
+        raw = [Fraction(rng.randint(0, 9)) for _ in range(rng.randint(1, 6))]
+        raw[0] += 1
+        total = sum(raw)
+        t = LimitThreshold(tuple((rng.randint(0, 1), r / total) for r in raw))
+        assert limit_edge_density(t) == limit_density(path_graph(2), t)
 
 
 def test_limit_density_clique_pattern():
@@ -246,6 +272,9 @@ def test_limit_density_agrees_with_finite_blowup():
         fin = hom_density(path_graph(2), build_graph(blocks))
         lim = limit_edge_density(t)
         assert abs(float(fin) - lim) < 5.0 / n
+        for h in (star_graph(2), complete_graph(3), cycle_graph(4)):
+            fin = hom_count_blocks(h, blocks) / n**h.n
+            assert abs(fin - limit_density(h, t)) < 10.0 / n
 
 
 def test_blow_up_sizes():
