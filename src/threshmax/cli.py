@@ -52,20 +52,10 @@ from threshmax.verify import SUITES, run_all, run_suite
 __all__ = ["main"]
 
 
-def _load_graph(path: str):
+def _load(path: str, parse):
     try:
         with open(path) as fh:
-            return parse_graph(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_hypergraph(path: str):
-    try:
-        with open(path) as fh:
-            return parse_hypergraph(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     except ParseError as exc:
@@ -89,8 +79,8 @@ def _frac(value) -> str:
 
 
 def _cmd_count(args) -> int:
-    h = _load_graph(args.pattern)
-    g = _load_graph(args.target)
+    h = _load(args.pattern, parse_graph)
+    g = _load(args.target, parse_graph)
     if args.injective:
         value = injective_hom_count(h, g)
     elif args.naive:
@@ -102,22 +92,22 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    h = _load_graph(args.pattern)
-    g = _load_graph(args.target)
+    h = _load(args.pattern, parse_graph)
+    g = _load(args.target, parse_graph)
     value = hom_density(h, g)
     _emit(args, {"density": _frac(value), "float": float(value)}, _frac(value))
     return 0
 
 
 def _cmd_is_threshold(args) -> int:
-    g = _load_graph(args.target)
+    g = _load(args.target, parse_graph)
     answer = is_threshold(g)
     _emit(args, {"threshold": answer}, "true" if answer else "false")
     return 0 if answer else 1
 
 
 def _cmd_thresholdize(args) -> int:
-    g = _load_graph(args.target)
+    g = _load(args.target, parse_graph)
     out, log = thresholdize(g)
     if args.log:
         with open(args.log, "w") as fh:
@@ -138,7 +128,7 @@ def _cmd_thresholdize(args) -> int:
 
 
 def _cmd_search_threshold(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     res = search_threshold_max(h, args.n, args.m)
     record = {
         "n": args.n,
@@ -152,7 +142,7 @@ def _cmd_search_threshold(args) -> int:
 
 
 def _cmd_search_all(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     res = search_all_max(h, args.n, args.m)
     record = {
         "n": args.n,
@@ -170,7 +160,7 @@ def _cmd_search_all(args) -> int:
 
 
 def _cmd_limit_search(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     res = limit_search(h, args.c, max_parts=args.parts, grid=args.grid, refine_tol=args.refine_tol)
     witness = ",".join(f"{b}:{float(p):.12g}" for b, p in res.witness.blocks)
     record = {
@@ -184,7 +174,7 @@ def _cmd_limit_search(args) -> int:
 
 
 def _cmd_alpha_star(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     res = alpha_star(h)
     weights = ",".join(_frac(w) for w in res.weights)
     record = {"alpha_star": _frac(res.alpha_star), "weights": weights}
@@ -193,7 +183,7 @@ def _cmd_alpha_star(args) -> int:
 
 
 def _cmd_domexp(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     value = domination_exponent(h)
     _emit(args, {"exponent": _frac(value)}, _frac(value))
     return 0
@@ -222,7 +212,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_janson(args) -> int:
-    h = _load_graph(args.pattern)
+    h = _load(args.pattern, parse_graph)
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
     m_grid = _parse_int_list(args.m_grid, "--m-grid") if args.m_grid else None
     report = janson_ratio_report(h, n_grid, m_grid)
@@ -291,23 +281,23 @@ def _cmd_two_star(args) -> int:
 
 
 def _cmd_hyper_count(args) -> int:
-    h = _load_hypergraph(args.pattern)
-    g = _load_hypergraph(args.target)
+    h = _load(args.pattern, parse_hypergraph)
+    g = _load(args.target, parse_hypergraph)
     value = hom_count_hyper(h, g)
     _emit(args, {"hom": value}, str(value))
     return 0
 
 
 def _cmd_hyper_is_threshold(args) -> int:
-    g = _load_hypergraph(args.target)
+    g = _load(args.target, parse_hypergraph)
     answer = is_threshold_hyper(g)
     _emit(args, {"threshold": answer}, "true" if answer else "false")
     return 0 if answer else 1
 
 
 def _cmd_hyper_thresholdize(args) -> int:
-    g = _load_hypergraph(args.target)
-    pattern = _load_hypergraph(args.pattern) if args.pattern else None
+    g = _load(args.target, parse_hypergraph)
+    pattern = _load(args.pattern, parse_hypergraph) if args.pattern else None
     out, report = hyper_thresholdize(g, pattern)
     record = {
         "n": out.n,

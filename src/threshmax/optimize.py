@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import sqrt, ulp
-
-import numpy as np
 
 from threshmax.graphs import Graph
 from threshmax.homcount import BudgetError, hom_count, hom_density
@@ -253,57 +251,95 @@ def search_threshold_max(h: Graph, n: int, m: int) -> SearchResult:
     return SearchResult(best, witness, len(table))
 
 
+def _canonical_code(adj: list[int]) -> tuple[int, ...]:
+    """Canonical code of a graph given as neighbour bitmasks: two graphs get
+    the same code exactly when they are isomorphic.
+
+    Individualisation-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).  Vertex colours, starting from degrees, are
+    refined to a stable partition: a vertex's new colour is the rank of
+    (old colour, sorted neighbour colours), which is 1-dimensional
+    Weisfeiler-Leman.  While a colour cell has more than one vertex, each
+    vertex of the first such cell in turn gets a colour of its own and the
+    colours are refined again.  Each branch ends in a vertex order; the
+    code is the least adjacency bitstring (pairs i < j in lexicographic
+    order) over these orders.  Swapping two twins (equal open or equal
+    closed neighbourhoods) is an automorphism, so one twin per class is
+    branched on.
+    """
+    n = len(adj)
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    twin = [a if adj.count(a) > 1 else a | 1 << v for v, a in enumerate(adj)]
+    pairs = list(combinations(range(n), 2))
+    codes = []
+
+    def search(colours):
+        count = len(set(colours))
+        while True:
+            sigs = [(colours[v], tuple(sorted(colours[u] for u in nbrs[v]))) for v in range(n)]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            if len(rank) == count:
+                break
+            colours, count = [rank[s] for s in sigs], len(rank)
+        if count == n:
+            order = sorted(range(n), key=colours.__getitem__)
+            codes.append(tuple(adj[order[i]] >> order[j] & 1 for i, j in pairs))
+            return
+        cell = min(c for c in colours if colours.count(c) > 1)
+        tried = set()
+        for v in range(n):
+            if colours[v] == cell and twin[v] not in tried:
+                tried.add(twin[v])
+                # v keeps the even colour 2 * cell, the rest of its cell moves up
+                search([2 * c + (c == cell and u != v) for u, c in enumerate(colours)])
+
+    search([len(vs) for vs in nbrs])
+    return min(codes)
+
+
+def _grow_classes(parents, keep=None) -> tuple[Graph, ...]:
+    """Isomorphism classes on n vertices grown from representatives of the
+    classes on n - 1 vertices: one canonically labelled graph per class,
+    ordered by (edge count, canonical code).
+
+    Each parent gets a new vertex joined to every subset of its vertices.
+    ``keep``, when given, drops the candidate graphs it rejects.  The result
+    holds every class with a property that survives vertex deletion, such
+    as bipartiteness, when the parents hold every such class on n - 1
+    vertices.
+    """
+    n = parents[0].n + 1
+    codes = set()
+    for parent in parents:
+        base = [sum(1 << u for u in parent.adjacency[v]) for v in range(n - 1)]
+        for subset in range(1 << (n - 1)):
+            adj = [a | (subset >> v & 1) << (n - 1) for v, a in enumerate(base)] + [subset]
+            joins = [(v, n - 1) for v in range(n - 1) if subset >> v & 1]
+            if keep is None or keep(Graph(n, [*parent.edges, *joins])):
+                codes.add(_canonical_code(adj))
+    pairs = list(combinations(range(n), 2))
+    return tuple(
+        Graph(n, [p for p, bit in zip(pairs, code) if bit])
+        for code in sorted(codes, key=lambda code: (sum(code), code))
+    )
+
+
 @lru_cache(maxsize=None)
 def all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices up to isomorphism.
 
-    Grown one vertex at a time from the (n-1)-vertex representatives; each
-    candidate is canonicalized by the minimum adjacency bitstring over all
-    vertex permutations, evaluated for whole batches with numpy.  Sorted by
-    canonical value, so edge counts are weakly increasing per prefix class.
+    Grown one vertex at a time from the (n-1)-vertex representatives and
+    deduplicated by a canonical code (see ``_canonical_code``).  Ordered by
+    (edge count, canonical code), so a search over the list that keeps the
+    first maximum breaks ties toward the fewest edges.
     """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 7:
         raise BudgetError(f"isomorphism enumeration capped at 7 vertices, got {n}")
     if n == 0:
         return (Graph(0),)
-    if n == 1:
-        return (Graph(1),)
-    parents = all_graphs_up_to_iso(n - 1)
-    pairs = list(combinations(range(n), 2))
-    slot = {p: s for s, p in enumerate(pairs)}
-    nslots = len(pairs)
-    perms = list(permutations(range(n)))
-    pmap = np.empty((len(perms), nslots), dtype=np.int64)
-    for pi, perm in enumerate(perms):
-        for s, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            pmap[pi, s] = slot[(a, b) if a < b else (b, a)]
-    weights = (np.int64(1) << np.arange(nslots - 1, -1, -1, dtype=np.int64))
-    cands = np.zeros((len(parents) << (n - 1), nslots), dtype=np.uint8)
-    row = 0
-    for parent in parents:
-        base = np.zeros(nslots, dtype=np.uint8)
-        for u, v in parent.edges:
-            base[slot[(u, v)]] = 1
-        for subset in range(1 << (n - 1)):
-            cands[row] = base
-            for v in range(n - 1):
-                if subset >> v & 1:
-                    cands[row, slot[(v, n - 1)]] = 1
-            row += 1
-    seen = set()
-    # chunk keeps the (rows, perms, slots) gather buffer small; at n=7 a
-    # 64-row block is about 7MB before the int64 upcast
-    chunk = 64
-    for start in range(0, len(cands), chunk):
-        block = cands[start : start + chunk]
-        values = block[:, pmap].astype(np.int64) @ weights
-        seen.update(int(v) for v in values.min(axis=1))
-    reps = []
-    for value in sorted(seen):
-        edges = [pairs[s] for s in range(nslots) if value >> (nslots - 1 - s) & 1]
-        reps.append(Graph(n, edges))
-    return tuple(reps)
+    return _grow_classes(all_graphs_up_to_iso(n - 1))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

@@ -144,6 +144,18 @@ def test_hyper_commands(capsys, tmp_path):
     assert "loss_bound" in captured.err
 
 
+def test_hyper_count_input_errors(capsys, tmp_path):
+    good = tmp_path / "h.hg"
+    good.write_text(serialize_hypergraph(Hypergraph(3, 2, [(0, 1)])))
+    missing = str(tmp_path / "nope.hg")
+    assert main(["hyper-count", missing, str(good)]) == 2
+    assert "nope.hg" in capsys.readouterr().err
+    bad = tmp_path / "bad.hg"
+    bad.write_text("3 1 2\n0 0\n")
+    assert main(["hyper-count", str(good), str(bad)]) == 2
+    assert "bad.hg" in capsys.readouterr().err
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "c4-remark"]) == 0
     out = capsys.readouterr().out

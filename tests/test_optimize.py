@@ -11,11 +11,14 @@ from threshmax.graphs import (
     disjoint_union,
     empty_graph,
     path_graph,
+    relabel,
     star_graph,
 )
 from threshmax.homcount import BudgetError, hom_count, hom_density
 from threshmax.optimize import (
     TwoStarInstance,
+    _canonical_code,
+    _grow_classes,
     all_graphs_up_to_iso,
     alpha_star,
     domination_exponent,
@@ -210,9 +213,87 @@ def test_search_threshold_budget():
 
 
 def test_iso_enumeration_counts():
-    expected = [1, 1, 2, 4, 11, 34, 156]
+    expected = [1, 1, 2, 4, 11, 34, 156, 1044]
     for n, count in enumerate(expected):
         assert len(all_graphs_up_to_iso(n)) == count
+
+
+def _masks(g):
+    return [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+
+
+def _two_colourable(g):
+    return any(
+        all((side >> u & 1) != (side >> v & 1) for u, v in g.edges) for side in range(1 << g.n)
+    )
+
+
+def _bipartite(g):
+    return hom_count(g, complete_graph(2)) > 0
+
+
+def test_bipartite_growth_counts():
+    # OEIS A033995: bipartite graphs on n vertices up to isomorphism
+    expected = [1, 2, 3, 7, 13, 35, 88, 303]
+    reps = (Graph(0),)
+    for n, count in enumerate(expected, start=1):
+        reps = _grow_classes(reps, keep=_bipartite)
+        assert len(reps) == count
+        assert all(g.n == n and _two_colourable(g) for g in reps)
+
+
+def test_iso_classes_match_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def buckets(graphs):
+        out = {}
+        for g in graphs:
+            key = (g.n, g.m, tuple(sorted(g.degree(v) for v in range(g.n))))
+            out.setdefault(key, []).append(g)
+        return out
+
+    def to_nx(g):
+        out = nx.empty_graph(g.n)
+        out.add_edges_from(g.edges)
+        return out
+
+    reps = buckets(g for n in range(8) for g in all_graphs_up_to_iso(n))
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == sum(len(b) for b in reps.values())
+    for a in atlas:
+        key = (a.number_of_nodes(), a.number_of_edges(), tuple(sorted(d for _, d in a.degree())))
+        assert sum(nx.is_isomorphic(a, to_nx(g)) for g in reps.get(key, [])) == 1
+
+    bip = (Graph(0),)
+    for _ in range(8):
+        bip = _grow_classes(bip, keep=_bipartite)
+        for bucket in buckets(bip).values():
+            for g, h in combinations(bucket, 2):
+                assert not nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def test_canonical_code_survives_relabeling():
+    rng = random.Random(11)
+    graphs = [
+        empty_graph(8),
+        complete_graph(8),
+        cycle_graph(8),
+        disjoint_union(cycle_graph(4), cycle_graph(4)),
+        Graph(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+        Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),  # the cube
+        Graph(8, [(2 * i, 2 * i + 1) for i in range(4)]),
+        disjoint_union(complete_graph(3), cycle_graph(5)),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.85))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        code = _canonical_code(_masks(g))
+        for _ in range(10):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _canonical_code(_masks(relabel(g, perm))) == code
 
 
 def test_iso_enumeration_shape():
@@ -225,8 +306,11 @@ def test_iso_enumeration_shape():
     for m, count in by_edges.items():
         assert by_edges[10 - m] == count
     assert by_edges[0] == 1 and by_edges[10] == 1
+    assert [g.m for g in reps] == sorted(g.m for g in reps)
     with pytest.raises(BudgetError):
         all_graphs_up_to_iso(8)
+    with pytest.raises(ValueError):
+        all_graphs_up_to_iso(-1)
 
 
 def test_search_all_known():
