@@ -13,13 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import sqrt, ulp
+from math import inf, sqrt, ulp
 
 from threshmax.graphs import Graph
 from threshmax.homcount import BudgetError, hom_count, hom_density
 from threshmax.threshold import (
     CreationSequence,
     LimitThreshold,
+    _compiled,
+    _edge_density,
+    _top_density,
     hom_count_blocks,
     limit_density,
     limit_edge_density,
@@ -390,13 +393,10 @@ def _repair(pattern, props, c: float):
     is a root.  Moving mass from a dominating block to an isolated one only
     shrinks neighborhoods, so D is monotone on [0, 1] and the smaller
     positive root is the one.  Returns None when the pattern has no
-    isolated block to absorb the mass.
+    isolated block to absorb the mass.  props are float proportions summing
+    to 1, and so is the result.
     """
-
-    def density(q) -> float:
-        return float(limit_edge_density(LimitThreshold(tuple(zip(pattern, q)))))
-
-    if density(props) <= c:
+    if _edge_density(pattern, props) <= c:
         return props
     ones = [j for j, b in enumerate(pattern) if b == 1]
     zeros = [j for j, b in enumerate(pattern) if b == 0]
@@ -421,15 +421,17 @@ def _repair(pattern, props, c: float):
         total = sum(q)
         return tuple(x / total for x in q)
 
-    whole, half = density(scaled(1.0)), density(scaled(0.5))
+    whole, half = _edge_density(pattern, scaled(1.0)), _edge_density(pattern, scaled(0.5))
     a, b = 2 * whole - 4 * half, 4 * half - whole
     t = 2 * c / (b + sqrt(max(b * b + 4 * a * c, 0.0))) if c > 0 else 0.0
     # rounding can leave the root a few ulps too high; step down until the
     # density is within budget, which it is at t = 0
     step = ulp(t)
-    while density(scaled(t)) > c:
+    q = scaled(t)
+    while _edge_density(pattern, q) > c:
         t, step = max(t - step, 0.0), 2 * step
-    return scaled(t)
+        q = scaled(t)
+    return q
 
 
 def _lattice_moves(parts: int):
@@ -440,11 +442,12 @@ def _lattice_moves(parts: int):
     return moves
 
 
-def _refine(h: Graph, pattern, props, c: float, step: float, tol: float):
-    """Steepest-ascent over zero-sum lattice directions with step halving."""
+def _refine(compiled, pattern, props, c: float, step: float, tol: float):
+    """Steepest-ascent over zero-sum lattice directions with step halving.
+    compiled is ``_compiled(h, pattern)``."""
     moves = _lattice_moves(len(pattern))
     cur = props
-    cur_val = limit_density(h, LimitThreshold(tuple(zip(pattern, cur))))
+    cur_val = _top_density(compiled, cur)
     evals = 0
     while step >= tol and evals < 4000:
         best_val = cur_val
@@ -458,7 +461,7 @@ def _refine(h: Graph, pattern, props, c: float, step: float, tol: float):
             cand = _repair(pattern, cand, c)
             if cand is None:
                 continue
-            val = limit_density(h, LimitThreshold(tuple(zip(pattern, cand))))
+            val = _top_density(compiled, cand)
             evals += 1
             if val > best_val:
                 best_val = val
@@ -493,8 +496,8 @@ def limit_search(
     Enumerates alternating block patterns with up to max_parts blocks and
     all proportion grids at the given resolution; infeasible points are
     projected onto the density-c surface by _repair, the best few per
-    pattern are polished by coordinate refinement, and the single best
-    structure is returned.  No optimality claim.
+    pattern are polished by coordinate refinement down to step refine_tol,
+    and the single best structure is returned.  No optimality claim.
     """
     if not 0 <= c <= 1:
         raise ValueError(f"edge density budget must be in [0,1], got {c}")
@@ -502,6 +505,9 @@ def limit_search(
         raise ValueError("max_parts must be between 1 and 6")
     if not 0 < grid <= 1:
         raise ValueError("grid must be a resolution in (0, 1]")
+    # written so that NaN fails it too; at 0 the refinement never stops
+    if not 0 < refine_tol < inf:
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     steps = max(1, round(1 / grid))
     explored = 0
     best_val = -1.0
@@ -509,6 +515,7 @@ def limit_search(
     for parts in range(1, max_parts + 1):
         for first_bit in (1, 0):
             pattern = _alternating(first_bit, parts)
+            compiled = _compiled(h, pattern)
             top: list[tuple[float, tuple]] = []
             for comp in _compositions(steps, parts):
                 props = tuple(x / steps for x in comp)
@@ -516,18 +523,22 @@ def limit_search(
                 explored += 1
                 if repaired is None:
                     continue
-                val = limit_density(h, LimitThreshold(tuple(zip(pattern, repaired))))
+                val = _top_density(compiled, repaired)
                 top.append((val, repaired))
                 top.sort(key=lambda t: -t[0])
                 del top[3:]
             for _, start in top:
-                val, props = _refine(h, pattern, start, c, grid, refine_tol)
+                val, props = _refine(compiled, pattern, start, c, grid, refine_tol)
                 if val > best_val:
                     best_val = val
                     best = (pattern, props)
     if best is None:
         raise ValueError("no feasible structure found")
     witness = _cleanup(*best)
+    # _cleanup's merge and renormalisation can move the density by rounding;
+    # 1e-9 is the slack that perfbench's limit oracle allows too
+    if limit_edge_density(witness) > c + 1e-9:
+        raise RuntimeError(f"limit_search witness {witness} exceeds edge density {c}")
     return SearchResult(float(limit_density(h, witness)), witness, explored)
 
 
@@ -579,12 +590,15 @@ def two_star_objective(inst: TwoStarInstance) -> float:
     return a * (k + d - b) ** 2 + b * (g + k) ** 2 + g * (k + d) ** 2
 
 
-def two_star_fprime(inst: TwoStarInstance) -> float:
-    b, c, d = inst.beta, inst.c, inst.d
-    if inst.mode == "0lead":
+def _two_star_fprime(b: float, c: float, d: float, mode: str) -> float:
+    if mode == "0lead":
         return (4 * b * b * c - 3 * b**4 - c * c) / (4 * b * b)
     e = c - d * d
     return -(b * b + e) * (3 * b * b + e) / (4 * b * b)
+
+
+def two_star_fprime(inst: TwoStarInstance) -> float:
+    return _two_star_fprime(inst.beta, inst.c, inst.d, inst.mode)
 
 
 def two_star_fsecond(inst: TwoStarInstance) -> float:
@@ -617,7 +631,11 @@ def two_star_no_interior_max(
     c: float, d: float, k: float, mode: str, samples: int = 2000
 ) -> bool:
     """Scan the feasible interior for a stationary point that is a local
-    maximum; True when none exists, which forces optima to the endpoints."""
+    maximum; True when none exists, which forces optima to the endpoints.
+    f' is sampled at samples evenly spaced points, and each sign change is
+    bisected to a root."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     interval = two_star_feasible_interval(c, d, mode)
     if interval is None:
         return True
@@ -627,29 +645,24 @@ def two_star_no_interior_max(
     if hi <= lo or lo <= 0:
         return True
 
-    def fp(b):
-        return two_star_fprime(TwoStarInstance(c, d, k, b, mode))
-
-    def fs(b):
-        return two_star_fsecond(TwoStarInstance(c, d, k, b, mode))
-
     xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    prev = fp(xs[0])
+    prev = _two_star_fprime(xs[0], c, d, mode)
     for i in range(1, samples):
-        cur = fp(xs[i])
+        cur = _two_star_fprime(xs[i], c, d, mode)
         root = None
         if abs(cur) < 1e-12:
             root = xs[i]
         elif prev * cur < 0:
-            a, b = xs[i - 1], xs[i]
+            a, b, fa = xs[i - 1], xs[i], prev
             for _ in range(80):
                 mid = (a + b) / 2
-                if fp(a) * fp(mid) <= 0:
+                fmid = _two_star_fprime(mid, c, d, mode)
+                if fa * fmid <= 0:
                     b = mid
                 else:
-                    a = mid
+                    a, fa = mid, fmid
             root = (a + b) / 2
-        if root is not None and fs(root) <= 1e-9:
+        if root is not None and two_star_fsecond(TwoStarInstance(c, d, k, root, mode)) <= 1e-9:
             return False
         prev = cur
     return True

@@ -474,6 +474,24 @@ def hom_count_blocks(h: Graph, target: "BlockStructure | CreationSequence") -> i
 # ── limiting densities ───────────────────────────────────────────────────
 
 
+def _top_density(compiled, props):
+    """``limit_density`` from ``_compiled`` polynomials and plain proportions."""
+    result = 1
+    for top, _ in compiled:
+        result = result * _evaluate(top, props)
+    return result
+
+
+def _edge_density(pattern, props):
+    """``limit_edge_density`` from plain block bits and proportions."""
+    total, before = 0, 0
+    for bit, p in zip(pattern, props):
+        if bit:
+            total += p * (p + 2 * before)
+        before += p
+    return total
+
+
 def limit_density(h: Graph, limit: LimitThreshold):
     """Limiting homomorphism density of h in blowups of the limit structure:
     the top-degree part of the block polynomial at the proportions.
@@ -481,22 +499,13 @@ def limit_density(h: Graph, limit: LimitThreshold):
     Exact when every proportion is a Fraction; float proportions give float
     output.  Disconnected h multiplies over components.
     """
-    props = limit.proportions
-    result = 1
-    for top, _ in _compiled(h, limit.bits):
-        result = result * _evaluate(top, props)
-    return result
+    return _top_density(_compiled(h, limit.bits), limit.proportions)
 
 
 def limit_edge_density(limit: LimitThreshold):
     """Limiting edge density t(K2, .) of the limit structure: the sum over
     dominating blocks j of p_j (p_j + 2 S_<j), S_<j the mass before j."""
-    total, before = 0, 0
-    for bit, p in limit.blocks:
-        if bit:
-            total += p * (p + 2 * before)
-        before += p
-    return total
+    return _edge_density(limit.bits, limit.proportions)
 
 
 # ── discretisation and cleanup ───────────────────────────────────────────

@@ -93,6 +93,8 @@ def test_limit_search(capsys, star_path):
     record = json.loads(capsys.readouterr().out)
     assert record["best"] > 0
     assert record["witness"].count(":") >= 1
+    assert main(["limit-search", star_path, "--c", "0.5", "--refine-tol", "0"]) == 2
+    assert "refine_tol" in capsys.readouterr().err
 
 
 def test_alpha_star_and_domexp(capsys, star_path, k3_path):

@@ -408,6 +408,17 @@ def test_limit_search_validation():
         limit_search(complete_graph(2), 0.5, max_parts=0)
     with pytest.raises(ValueError):
         limit_search(complete_graph(2), 0.5, grid=0.0)
+    for tol in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="refine_tol"):
+            limit_search(complete_graph(2), 0.5, refine_tol=tol)
+
+
+def test_limit_search_rejects_a_witness_over_budget(monkeypatch):
+    import threshmax.optimize as optimize
+
+    monkeypatch.setattr(optimize, "_cleanup", lambda pattern, props: LimitThreshold(((1, 1.0),)))
+    with pytest.raises(RuntimeError, match="exceeds edge density"):
+        limit_search(complete_graph(2), 0.5, max_parts=2, grid=0.5)
 
 
 # ── two-star programs ────────────────────────────────────────────────────
@@ -471,6 +482,13 @@ def test_two_star_no_interior_max_grid():
 def test_two_star_infeasible_is_vacuous():
     assert two_star_feasible_interval(0.9, 0.5, "0lead") is None
     assert two_star_no_interior_max(0.9, 0.5, 0.0, "0lead")
+
+
+def test_two_star_scan_needs_two_samples():
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            two_star_no_interior_max(0.25, 1.0, 0.0, "0lead", samples=samples)
+    assert two_star_no_interior_max(0.25, 1.0, 0.0, "0lead", samples=2)
 
 
 def test_two_star_validation():

@@ -15,6 +15,9 @@ from threshmax.graphs import (
 from threshmax.homcount import hom_count_naive, hom_density
 from threshmax.optimize import all_graphs_up_to_iso
 from threshmax.threshold import (
+    _compiled,
+    _edge_density,
+    _top_density,
     BlockStructure,
     CreationSequence,
     LimitThreshold,
@@ -180,7 +183,7 @@ def test_chromatic_counts_match_naive_homs_into_cliques():
 
 
 def test_hom_count_blocks_matches_naive():
-    patterns = [
+    graphs = [
         path_graph(2),
         star_graph(2),
         complete_graph(3),
@@ -193,7 +196,7 @@ def test_hom_count_blocks_matches_naive():
     for n in range(1, 6):
         for seq in all_sequences(n):
             g = build_graph(seq)
-            for h in patterns:
+            for h in graphs:
                 assert hom_count_blocks(h, seq) == hom_count_naive(h, g)
 
 
@@ -257,6 +260,34 @@ def test_limit_density_multiplies_over_components():
     assert limit_density(h, t) == limit_density(complete_graph(3), t) * limit_density(
         path_graph(2), t
     )
+
+
+def test_plain_tuple_densities_match_public_ones():
+    """The helpers the limit search calls on plain (pattern, props) tuples
+    give exactly the values of limit_density and limit_edge_density."""
+    rng = random.Random(17)
+    graphs = [
+        path_graph(4),
+        star_graph(2),
+        cycle_graph(4),
+        complete_graph(3),
+        disjoint_union(complete_graph(3), complete_graph(2)),
+    ]
+    for _ in range(60):
+        pattern = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4)))
+        raw = [rng.randint(1, 9) for _ in pattern]
+        exact = tuple(Fraction(r, sum(raw)) for r in raw)
+        floats = tuple(r / sum(raw) for r in raw)
+        for props in (exact, floats):
+            t = LimitThreshold(tuple(zip(pattern, props)))
+            assert _edge_density(pattern, props) == limit_edge_density(t)
+            for h in graphs:
+                assert _top_density(_compiled(h, pattern), props) == limit_density(h, t)
+        want = _edge_density(pattern, exact)
+        assert _edge_density(pattern, floats) == pytest.approx(float(want), abs=1e-12)
+        for h in graphs:
+            want = _top_density(_compiled(h, pattern), exact)
+            assert _top_density(_compiled(h, pattern), floats) == pytest.approx(float(want), abs=1e-12)
 
 
 def test_limit_density_agrees_with_finite_blowup():
