@@ -110,8 +110,11 @@ def _cmd_thresholdize(args) -> int:
     g = _load(args.target, parse_graph)
     out, log = thresholdize(g)
     if args.log:
-        with open(args.log, "w") as fh:
-            fh.write(log.to_text())
+        try:
+            with open(args.log, "w") as fh:
+                fh.write(log.to_text())
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.log!r}: {exc}") from exc
     record = {
         "n": out.n,
         "m": out.m,

@@ -164,62 +164,22 @@ class Hypergraph:
 # ── text format ──────────────────────────────────────────────────────────
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the line-oriented format: header ``n m`` then m lines ``u v``."""
+def _parse(text: str, header: str):
+    """Parse a ``header`` line (``'n m'``, or ``'n m k'`` for k-uniform
+    edges; k is 2 without it) then m lines of k distinct vertex ids each.
+    Returns (n, k, edges); every error names its line."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise ParseError("line 1: missing 'n m' header")
+        raise ParseError(f"line 1: missing {header!r} header")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"line 1: expected 'n m', got {lines[0]!r}")
+    if len(head) != len(header.split()):
+        raise ParseError(f"line 1: expected {header!r}, got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m, k = [int(x) for x in head] + [2] * (3 - len(head))
     except ValueError:
-        raise ParseError(f"line 1: expected integers 'n m', got {lines[0]!r}") from None
-    if n < 0 or m < 0:
-        raise ParseError(f"line 1: negative count in {lines[0]!r}")
-    if len(lines) - 1 != m:
-        raise ParseError(f"header declares {m} edges but {len(lines) - 1} edge lines follow")
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {i}: expected 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {i}: expected integers, got {ln!r}") from None
-        if u == v:
-            raise ParseError(f"line {i}: self-loop {ln!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {i}: vertex out of range 0..{n - 1} in {ln!r}")
-        edges.append((u, v))
-    return Graph(n, edges)
-
-
-def serialize_graph(g: Graph) -> str:
-    """Inverse of parse_graph; edges emitted sorted by (min, max) endpoint."""
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(out) + "\n"
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse header ``n m k`` then m lines of k vertex ids each."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("line 1: missing 'n m k' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(f"line 1: expected 'n m k', got {lines[0]!r}")
-    try:
-        n, m, k = (int(x) for x in head)
-    except ValueError:
-        raise ParseError(f"line 1: expected integers 'n m k', got {lines[0]!r}") from None
+        raise ParseError(f"line 1: expected integers {header!r}, got {lines[0]!r}") from None
     if n < 0 or m < 0 or k < 1:
         raise ParseError(f"line 1: bad counts in {lines[0]!r}")
     if len(lines) - 1 != m:
@@ -235,10 +195,28 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise ParseError(f"line {i}: expected integers, got {ln!r}") from None
         if len(set(vs)) != k:
             raise ParseError(f"line {i}: repeated vertex in {ln!r}")
-        for v in vs:
-            if not 0 <= v < n:
-                raise ParseError(f"line {i}: vertex out of range 0..{n - 1} in {ln!r}")
+        if not all(0 <= v < n for v in vs):
+            raise ParseError(f"line {i}: vertex out of range 0..{n - 1} in {ln!r}")
         edges.append(vs)
+    return n, k, edges
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the line-oriented format: header ``n m`` then m lines ``u v``."""
+    n, _, edges = _parse(text, "n m")
+    return Graph(n, edges)
+
+
+def serialize_graph(g: Graph) -> str:
+    """Inverse of parse_graph; edges emitted sorted by (min, max) endpoint."""
+    out = [f"{g.n} {g.m}"]
+    out.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    return "\n".join(out) + "\n"
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse header ``n m k`` then m lines of k vertex ids each."""
+    n, k, edges = _parse(text, "n m k")
     return Hypergraph(n, k, edges)
 
 

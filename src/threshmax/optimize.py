@@ -22,10 +22,12 @@ from threshmax.threshold import (
     LimitThreshold,
     _compiled,
     _edge_density,
+    _merge_runs,
     _top_density,
     hom_count_blocks,
     limit_density,
     limit_edge_density,
+    sequence_edge_count,
     three_part,
 )
 
@@ -225,8 +227,8 @@ def _threshold_hom_table(h: Graph, n: int):
     in lexicographic bit order."""
     rows = []
     for bits in product((0, 1), repeat=n - 1):
-        edges = sum(i for i, b in enumerate(bits, start=1) if b)
-        rows.append((bits, edges, hom_count_blocks(h, CreationSequence(bits))))
+        seq = CreationSequence(bits)
+        rows.append((bits, sequence_edge_count(seq), hom_count_blocks(h, seq)))
     return tuple(rows)
 
 
@@ -474,16 +476,7 @@ def _refine(compiled, pattern, props, c: float, step: float, tol: float):
 
 
 def _cleanup(pattern, props) -> LimitThreshold:
-    merged: list[list] = []
-    for b, p in zip(pattern, props):
-        if p <= 0:
-            continue
-        if merged and merged[-1][0] == b:
-            merged[-1][1] += p
-        else:
-            merged.append([b, p])
-    if not merged:
-        merged = [[0, 1.0]]
+    merged = _merge_runs((b, p) for b, p in zip(pattern, props) if p > 0)
     total = sum(p for _, p in merged)
     return LimitThreshold(tuple((b, p / total) for b, p in merged))
 

@@ -71,6 +71,13 @@ def test_thresholdize(capsys, tmp_path, c4_path):
     assert log.read_text().endswith("total 1 count 5\n")
 
 
+def test_thresholdize_unwritable_log(capsys, tmp_path, c4_path):
+    log = str(tmp_path / "missing" / "moves.log")
+    assert main(["thresholdize", c4_path, "--log", log]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and log in err
+
+
 def test_search_threshold(capsys, c4_path):
     assert main(["search-threshold", c4_path, "--n", "4", "--m", "4"]) == 0
     out = capsys.readouterr().out

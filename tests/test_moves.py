@@ -4,6 +4,7 @@ from math import isqrt, log
 
 import pytest
 
+from threshmax import moves
 from threshmax.graphs import (
     Graph,
     Hypergraph,
@@ -15,6 +16,7 @@ from threshmax.graphs import (
 )
 from threshmax.homcount import hom_count, hom_count_hyper
 from threshmax.moves import (
+    _absorbs,
     MoveLog,
     dominating_set,
     forbidden_paths,
@@ -189,6 +191,14 @@ def test_thresholdize_random_budgets():
         assert log.total_movement <= g.m
 
 
+def test_thresholdize_checks_its_output(monkeypatch):
+    monkeypatch.setattr(moves, "local_move", lambda g, u, v: (g, 0))
+    with pytest.raises(RuntimeError, match="not threshold"):
+        thresholdize(cycle_graph(4))
+    star = star_graph(3)
+    assert thresholdize(star)[0] == star
+
+
 def test_move_log_text():
     log = MoveLog([(0, 1, 2), (0, 3, 0)])
     assert log.to_text() == "0 1 2\n0 3 0\ntotal 2 count 2\n"
@@ -240,6 +250,40 @@ def test_is_threshold_hyper_examples():
     assert is_threshold_hyper(Hypergraph(4, 3, [(0, 1, 2)]))
     assert not is_threshold_hyper(Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)]))
     assert is_threshold_hyper(Hypergraph(5, 3))
+    assert is_threshold_hyper(Hypergraph(0, 3))
+
+
+def pairwise_comparable(g):
+    """The definition: every vertex pair is comparable under absorption."""
+    return all(_absorbs(g, x, y) or _absorbs(g, y, x) for x, y in combinations(range(g.n), 2))
+
+
+def shifted_hypergraph(rng, n, k):
+    """A random fully shifted k-graph: every k-set lying below a random
+    generator in the componentwise order of sorted tuples."""
+    sets = list(combinations(range(n), k))
+    gens = [rng.choice(sets) for _ in range(rng.randint(1, 3))]
+    return [e for e in sets if any(all(a <= b for a, b in zip(e, g)) for g in gens)]
+
+
+def test_is_threshold_hyper_matches_pairwise_definition():
+    rng = random.Random(89)
+    answers = []
+    for k in (3, 4):
+        for _ in range(60):
+            n = rng.randint(k, 9)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [[perm[v] for v in e] for e in shifted_hypergraph(rng, n, k)]
+            g = Hypergraph(n, k, edges)
+            assert is_threshold_hyper(g) and pairwise_comparable(g)
+            drop = rng.randrange(len(edges))
+            cut = Hypergraph(n, k, edges[:drop] + edges[drop + 1 :])
+            for h in (cut, random_hypergraph(rng, n, k, rng.random())):
+                answers.append(is_threshold_hyper(h))
+                assert answers[-1] == pairwise_comparable(h)
+    # both answers occur, so neither side of the check is vacuous
+    assert 10 < sum(answers) < len(answers) - 10
 
 
 def test_dominating_set_basics():

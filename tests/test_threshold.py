@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,10 +10,11 @@ from threshmax.graphs import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    relabel,
     star_graph,
 )
 from threshmax.homcount import hom_count_naive, hom_density
-from threshmax.optimize import all_graphs_up_to_iso
+from threshmax.optimize import _canonical_code, all_graphs_up_to_iso
 from threshmax.threshold import (
     _compiled,
     _edge_density,
@@ -46,6 +47,26 @@ def all_sequences(n):
         yield CreationSequence(bits)
 
 
+def shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def nested_neighbourhoods(g):
+    """The definition: for every vertex pair, one open neighbourhood (minus
+    the other vertex) contains the other's."""
+    for u, v in combinations(range(g.n), 2):
+        a, b = g.adjacency[u] - {v}, g.adjacency[v] - {u}
+        if not (a <= b or b <= a):
+            return False
+    return True
+
+
+def code(g):
+    return _canonical_code([sum(1 << u for u in g.adjacency[v]) for v in range(g.n)])
+
+
 def test_sequence_basics():
     s = CreationSequence.from_text("1011100")
     assert s.n == 8
@@ -57,6 +78,15 @@ def test_sequence_basics():
         CreationSequence((0, 2))
     with pytest.raises(ValueError):
         CreationSequence.from_text("10x")
+    # refused, not truncated to 0 and 1
+    with pytest.raises(ValueError):
+        CreationSequence((0.5, 1.9))
+    assert CreationSequence((1.0, True, 0)).bits == (1, 1, 0)
+    assert type(CreationSequence((1.0, True)).bits[1]) is int
+    for bad in ((0.5, 2), (1, 2.7), (1, 0), (1, float("nan")), (1, float("inf")), (2, 1)):
+        with pytest.raises(ValueError):
+            BlockStructure(((0, 1), bad))
+    assert BlockStructure(((True, 2.0),)).blocks == ((1, 2),)
 
 
 def test_blocks_roundtrip():
@@ -111,6 +141,41 @@ def test_creation_sequence_recovery():
         creation_sequence_of(path_graph(4))
     with pytest.raises(ValueError):
         creation_sequence_of(Graph(0))
+    assert is_threshold(Graph(0))
+
+
+def test_peel_matches_nested_neighbourhoods_on_small_classes():
+    rng = random.Random(13)
+    threshold_classes = 0
+    for n in range(1, 8):
+        for g in all_graphs_up_to_iso(n):
+            answer = is_threshold(g)
+            assert answer == nested_neighbourhoods(g)
+            if answer:
+                threshold_classes += 1
+                for h in (g, shuffled(rng, g)):
+                    assert code(build_graph(creation_sequence_of(h))) == code(g)
+            else:
+                with pytest.raises(ValueError, match="threshold"):
+                    creation_sequence_of(g)
+    # one threshold class per creation sequence: 2^(n-1) on n vertices
+    assert threshold_classes == 2**7 - 1
+
+
+def test_peel_on_relabelled_graphs():
+    """Inputs not in creation order, up to 40 vertices, and the same graphs
+    with one vertex pair toggled."""
+    rng = random.Random(17)
+    for _ in range(300):
+        seq = CreationSequence(tuple(rng.randrange(2) for _ in range(rng.randrange(40))))
+        g = shuffled(rng, build_graph(seq))
+        # a threshold graph has exactly one creation sequence
+        assert creation_sequence_of(g) == seq
+        assert is_threshold(g) and nested_neighbourhoods(g)
+        if g.n > 1:
+            u, v = rng.sample(range(g.n), 2)
+            toggled = Graph(g.n, g.edges ^ {(min(u, v), max(u, v))})
+            assert is_threshold(toggled) == nested_neighbourhoods(toggled)
 
 
 def test_quasi_clique_shapes():
@@ -214,6 +279,9 @@ def test_limit_threshold_validation():
         LimitThreshold(((1, -0.5), (0, 1.5)))
     with pytest.raises(ValueError):
         LimitThreshold(())
+    with pytest.raises(ValueError):
+        LimitThreshold(((0.5, 1.0),))
+    assert LimitThreshold(((1.0, 1.0),)).bits == (1,)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             LimitThreshold(((1, bad), (0, 0.5)))
